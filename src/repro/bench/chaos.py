@@ -94,10 +94,6 @@ class ChaosReport:
         return sum(end - start for start, end in self.degraded_windows)
 
     @property
-    def recovered_reads(self) -> int:
-        return self.faults.get("reads_recovered", 0)
-
-    @property
     def data_loss_events(self) -> int:
         """Requests that completed *lost* anywhere in the stack."""
         return (
@@ -357,9 +353,14 @@ def run_chaos(
             residual_corrupt += model.corrupt_count
         latent_stats = agg
 
-    retired_blocks = sum(s.ftl.retired_blocks for s in ssds)
-    # Include members swapped out by a rebuild: their FTL still records
-    # the retirements it performed while in service.
+    # Every member ever in service: the originals (a failed one's FTL
+    # still records the retirements it performed while in service) plus
+    # the spares a rebuild swapped in.
+    spares = [
+        d for d in getattr(built_backend, "devices", ())
+        if not any(d is s for s in ssds)
+    ]
+    retired_blocks = sum(s.ftl.retired_blocks for s in ssds + spares)
     member_failures = 0
     rebuilds = 0
     rebuilt_rows = 0

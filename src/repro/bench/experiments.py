@@ -17,6 +17,7 @@ from repro.core.config import EDCConfig
 from repro.core.policy import IntensityBand
 from repro.core.replay import TraceReplayer
 from repro.flash.geometry import NandGeometry, NandTiming, X25E_TIMING, x25e_like
+from repro.flash.introspect import ftls_of
 from repro.flash.raid import RAIS5
 from repro.flash.ssd import SimulatedSSD
 from repro.bench.schemes import build_device
@@ -160,9 +161,10 @@ def replay(
     :class:`~repro.faults.FaultPlan` to the built backend (per-device
     injectors, scheduled failures, auto-rebuild wiring) and routes each
     device's bad-block retirements into the allocator's capacity
-    accounting.  ``on_built`` is called with ``(sim, device, backend,
-    devices)`` after construction but before the replay starts — the
-    hook the chaos harness uses to install its own observers.
+    accounting, spares included.  ``on_built`` is called with ``(sim,
+    device, backend, devices)`` after construction but before the replay
+    starts — the hook the chaos harness uses to install its own
+    observers.
 
     ``recovery`` optionally attaches a
     :class:`~repro.recovery.DurableMetadataManager`: mapping metadata is
@@ -176,8 +178,9 @@ def replay(
     LBA temperature map become queryable after the run.  Health hooks
     only record — a replay with health attached is bit-identical
     (mapping/allocator digests) to one without.  Composes with every
-    other instrument; it is bound after fault wiring so retirement
-    hooks chain instead of clobbering.
+    other instrument: all of them subscribe to the same per-FTL event
+    lists, and a RAIS5 replacement member inherits the subscribers of
+    the member it replaces.
 
     ``scrub`` optionally arms an online media scrubber: a
     :class:`~repro.flash.scrub.ScrubConfig` builds a
@@ -211,12 +214,12 @@ def replay(
         telemetry=telemetry, auditor=auditor, recovery=recovery,
     )
     if fault_plan is not None:
-        for ssd in devices if devices is not None else [backend]:
-            ssd.ftl.on_retire = (
-                lambda block_id, moved, _bb=ssd.geometry.block_bytes:
-                device.allocator.note_retired(_bb)
-            )
-    if health is not None and getattr(health, "enabled", True):
+        def _retired(ftl, block_id: int, moved: int) -> None:
+            device.allocator.note_retired(ftl.geometry.block_bytes)
+
+        for ftl in ftls_of(backend):
+            ftl.on_retire.append(_retired)
+    if health is not None:
         health.bind_device(device)
     if scrub is not None:
         from repro.flash.scrub import MediaScrubber, ScrubConfig

@@ -20,7 +20,7 @@ The tier-1 test suite pins this equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.capacity import CapacityBalancer, ShardCapacity
 from repro.cluster.health import HealthMonitor
@@ -271,10 +271,6 @@ class TenantReport:
     #: requests that exhausted every recovery path (quorum + retries)
     unrecovered: int = 0
 
-    @property
-    def slo_violation_rate(self) -> float:
-        return self.slo_violations / self.completed if self.completed else 0.0
-
 
 @dataclass(frozen=True)
 class ShardReport:
@@ -318,10 +314,6 @@ class ClusterOutcome:
     health_states: Dict[str, str] = field(default_factory=dict)
     #: aggregate injector accounting (``None`` without a fault plan)
     fault_stats: Optional[FaultStats] = None
-
-    @property
-    def total_slo_violations(self) -> int:
-        return sum(t.slo_violations for t in self.tenants.values())
 
     @property
     def total_unrecovered(self) -> int:
@@ -379,12 +371,6 @@ class ClusterReplayer:
                 req.time, lambda r=req, t=tenant: cluster.submit(r, t)
             )
         self._scheduled += len(trace)
-
-    def schedule_interleaved(
-        self, streams: Sequence[Tuple[str, Trace]]
-    ) -> None:
-        for tenant, trace in streams:
-            self.schedule(tenant, trace)
 
     def run(self) -> ClusterOutcome:
         """Run to completion (including SD tails) and summarise."""

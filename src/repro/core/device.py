@@ -163,9 +163,7 @@ class EDCBlockDevice:
         # Telemetry is opt-in: without it the NULL singleton is held and
         # the single cached boolean below keeps the hot path branch-cheap.
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._tp_req = bool(
-            self.telemetry.enabled and self.telemetry.probes.active("request")
-        )
+        self._tp_req = self.telemetry.enabled
         if self.telemetry.enabled:
             self.telemetry.bind_device(self)
 
@@ -188,7 +186,7 @@ class EDCBlockDevice:
         #: replay bit-identical to the seed (digest-verified).  Bound
         #: after recovery so the waterfall sees the journal keys.
         self.health = health
-        if health is not None and getattr(health, "enabled", True):
+        if health is not None:
             health.bind_device(self)
 
     # ------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Tuple
 
 __all__ = ["WorkloadMonitor", "MonitorSnapshot"]
 
@@ -71,11 +71,10 @@ class WorkloadMonitor:
         self._last_t = float("-inf")
         self.total_requests = 0
         self.total_pages = 0
-        #: optional per-request observer ``(time, op, lba, pages)``,
-        #: called once per :meth:`record` with the clamped timestamp.
-        #: The device-health temperature map subscribes here; ``None``
-        #: (the default) keeps the hot path branch-cheap.
-        self.on_record: Optional[callable] = None
+        #: per-request subscribers ``(time, op, lba, pages)``, called
+        #: once per :meth:`record` with the clamped timestamp.  The
+        #: device-health temperature map subscribes here.
+        self.on_record: List[Callable[[float, str, Optional[int], float], None]] = []
 
     def pages_of(self, nbytes: int) -> int:
         """4 KB-equivalents of a request (always at least one)."""
@@ -99,8 +98,8 @@ class WorkloadMonitor:
         else:
             self._last_t = time
         pages = float(self.pages_of(nbytes))
-        if self.on_record is not None:
-            self.on_record(time, op, lba, pages)
+        for fn in self.on_record:
+            fn(time, op, lba, pages)
         reads = 1.0 if op == "R" else 0.0
         self._events.append((time, pages, reads))
         self._pages_sum += pages

@@ -98,12 +98,6 @@ class WriteBackBuffer:
         """
         return dict(self._dirty)
 
-    def oldest_unflushed_age(self, now: float) -> float:
-        """Age (seconds) of the oldest acked-but-unflushed block."""
-        if not self._dirty:
-            return 0.0
-        return now - min(self._dirty.values())
-
     def submit(self, request: IORequest) -> None:
         """Process one request arriving now (same contract as the device)."""
         if request.is_write:

@@ -237,11 +237,6 @@ class SizeClassAllocator:
         return dict(self._live_by_fraction)
 
     @property
-    def free_slot_count(self) -> int:
-        """Recyclable free slots across all classes."""
-        return sum(self._free.values())
-
-    @property
     def free_slot_bytes(self) -> int:
         """Physical bytes held by recyclable free slots."""
         return sum(nbytes * count for nbytes, count in self._free.items())

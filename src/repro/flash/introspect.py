@@ -30,7 +30,7 @@ never mutates the device, so introspection cannot perturb a replay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -43,6 +43,7 @@ __all__ = [
     "SmartSnapshot",
     "space_waterfall",
     "smart_snapshot",
+    "members_of",
     "ftls_of",
 ]
 
@@ -56,19 +57,25 @@ class SpaceAccountingError(AssertionError):
     """Raised when the space waterfall fails its conservation invariant."""
 
 
-def ftls_of(backend) -> List[object]:
-    """Every :class:`~repro.flash.ftl.ExtentFTL` under ``backend``.
+def members_of(backend) -> List[object]:
+    """``backend`` and every device below it, depth first.
 
-    Recurses array backends (``backend.devices``) the same way the
-    telemetry layer attaches its GC probes.
+    Array backends list their current members in ``backend.devices``,
+    which are recursed.  Layers that subscribe to or aggregate over a
+    backend's devices walk it through here.
     """
-    out: List[object] = []
-    ftl = getattr(backend, "ftl", None)
-    if ftl is not None:
-        out.append(ftl)
+    out = [backend]
     for dev in getattr(backend, "devices", ()) or ():
-        out.extend(ftls_of(dev))
+        out.extend(members_of(dev))
     return out
+
+
+def ftls_of(backend) -> List[object]:
+    """Every :class:`~repro.flash.ftl.ExtentFTL` under ``backend``."""
+    return [
+        node.ftl for node in members_of(backend)
+        if getattr(node, "ftl", None) is not None
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -367,6 +367,24 @@ class RAIS5:
         if any(replacement is d for d in self.devices):
             raise ArrayError(f"replacement {replacement.name} is already a member")
 
+    def _install(self, replacement: SimulatedSSD) -> int:
+        """Swap ``replacement`` into the failed member's slot.
+
+        The replacement inherits the outgoing member's SSD, queue and
+        FTL subscribers, so observers bound before the failure (the
+        allocator's retirement accounting, telemetry, device health)
+        keep seeing the slot's events.  Returns the slot index.
+        """
+        self._validate_replacement(replacement)
+        failed = self._failed
+        old = self.devices[failed]
+        replacement.probe.extend(old.probe)
+        replacement.queue.observer.extend(old.queue.observer)
+        replacement.ftl.on_gc.extend(old.ftl.on_gc)
+        replacement.ftl.on_retire.extend(old.ftl.on_retire)
+        self.devices[failed] = replacement
+        return failed
+
     def rebuild(
         self,
         replacement: SimulatedSSD,
@@ -380,10 +398,8 @@ class RAIS5:
         All rows are issued at once; for a rebuild whose I/O is paced
         against foreground traffic use :meth:`start_rebuild`.
         """
-        self._validate_replacement(replacement)
-        failed = self._failed
+        failed = self._install(replacement)
         rows = sorted(self._touched_rows)
-        self.devices[failed] = replacement
         self._failed = None
         self._rebuilt_rows = set()
         self._close_degraded_window()
@@ -429,12 +445,10 @@ class RAIS5:
         remains the array returns to non-degraded and ``on_complete``
         fires.
         """
-        self._validate_replacement(replacement)
-        failed = self._failed
         batch = self.rebuild_batch_rows if rows_per_batch is None else rows_per_batch
         if batch < 1:
             raise ValueError(f"rows_per_batch must be >= 1: {batch!r}")
-        self.devices[failed] = replacement
+        failed = self._install(replacement)
 
         def _finish() -> None:
             self._failed = None

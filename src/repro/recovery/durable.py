@@ -33,11 +33,11 @@ output must fingerprint-identically match it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.recovery.checkpoint import CheckpointImage, CheckpointStore
-from repro.recovery.formats import ExtentRecord, JournalRecord
+from repro.recovery.formats import ExtentRecord
 from repro.recovery.journal import MetadataJournal
 from repro.recovery.oob import OOBArea
 
@@ -165,9 +165,6 @@ class DurableMetadataManager:
     def live_records(self) -> Dict[int, ExtentRecord]:
         """Programmed, unreclaimed records by seqno (crash-free oracle)."""
         return dict(self._live)
-
-    def seqno_of(self, eid: int) -> Optional[int]:
-        return self._seqno_of_eid.get(eid)
 
     @property
     def checkpoint_staleness_s(self) -> float:

@@ -28,7 +28,7 @@ The verdict classification follows:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.recovery.formats import ExtentRecord
 
@@ -107,10 +107,6 @@ class IntegrityTracker:
     # ------------------------------------------------------------------
     # crash-time queries
     # ------------------------------------------------------------------
-    @property
-    def durable_blocks(self) -> int:
-        return len(self._durable)
-
     def volatile_blocks(self, buffer_dirty: Set[int] = frozenset()) -> Set[int]:
         """Blocks in the volatile window at this instant.
 

@@ -15,7 +15,7 @@ the energy model instead of free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.recovery.formats import ExtentRecord, JournalRecord
@@ -63,10 +63,6 @@ class MetadataJournal:
     def pending_records(self) -> int:
         """Records still in the volatile tail (lost on power cut)."""
         return len(self._pending)
-
-    @property
-    def pending_bytes(self) -> int:
-        return self._pending_bytes
 
     @property
     def durable_records(self) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Optional
+from typing import Callable, Deque, List, Optional
 
 from repro.sim.engine import Simulator
 
@@ -100,9 +100,9 @@ class Server:
         self._queue: Deque[Job] = deque()
         self._in_service = 0
         self.stats = _ServerStats()
-        #: optional telemetry hook, called with each completed :class:`Job`
-        #: (wait and service split known) *before* its ``on_complete``
-        self.observer: Optional[Callable[[Job], None]] = None
+        #: subscribers called with each completed :class:`Job` (wait and
+        #: service split known) *before* its ``on_complete``
+        self.observer: List[Callable[[Job], None]] = []
 
     # ------------------------------------------------------------------
     @property
@@ -168,7 +168,7 @@ class Server:
         self.stats.busy_time += job.service_time
         self.stats.total_response += job.response
         self._try_start()
-        if self.observer is not None:
-            self.observer(job)
+        for fn in self.observer:
+            fn(job)
         if job.on_complete is not None:
             job.on_complete(job)

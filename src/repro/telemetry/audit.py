@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 from repro.core.policy import (
@@ -385,13 +385,6 @@ class DecisionAuditor:
         for (name, _band), st in self.shadow_totals.items():
             out[name] = out.get(name, 0) + st.divergences
         return {k: v / self.n_decisions for k, v in out.items()}
-
-    def shadow_band_totals(self, name: str) -> Dict[int, ShadowTotals]:
-        return {
-            band: st
-            for (n, band), st in self.shadow_totals.items()
-            if n == name
-        }
 
     def totals(self) -> BandTotals:
         """Exact totals over every band."""

@@ -1,18 +1,17 @@
-"""The :class:`Telemetry` facade: probe registry + stack wiring.
+"""The :class:`Telemetry` facade: stack wiring + per-layer accounting.
 
 One :class:`Telemetry` object owns a :class:`~repro.telemetry.spans.Tracer`,
 a :class:`~repro.telemetry.histograms.MetricsRegistry` and the write/read
 per-layer accounting.  The EDC device reports into it through a small
-set of hooks; :meth:`Telemetry.bind_device` additionally subscribes to
-the lower layers (queue servers, the SSD service-time probe, the FTL's
-GC events, the elastic policy's band selections).
+set of hooks; :meth:`Telemetry.bind_device` additionally appends
+subscribers to the lower layers' event lists (queue servers, the SSD
+service-time probe, the FTL's GC events, the elastic policy's band
+selections).
 
-Instrumentation is **opt-in and free when disabled**:
-
-- without a telemetry object the device holds :data:`NULL_TELEMETRY`
-  and skips every hook behind one cached boolean;
-- with one, individual probe points can be switched off through the
-  :class:`ProbeRegistry` *before* the device is built.
+Instrumentation is **opt-in and free when disabled**: without a
+telemetry object the device holds :data:`NULL_TELEMETRY` (whose only
+attribute is ``enabled = False``) and skips every hook behind one
+cached boolean.
 
 The write-path accounting is constructed so that, per request,
 
@@ -31,21 +30,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, Hashable, List, Optional, Tuple
 
+from repro.flash.introspect import members_of
 from repro.sim.queueing import Job, Server
 from repro.telemetry.histograms import MetricsRegistry
 from repro.telemetry.spans import Span, Tracer
 
-__all__ = ["PROBE_POINTS", "ProbeRegistry", "Telemetry", "NULL_TELEMETRY"]
-
-#: The named probe points instrumentation can opt in/out of.
-#:
-#: =========  ========================================================
-#: request    per-request root spans and per-layer breakdown
-#: flash      device-queue wait/service correlation + GC stall split
-#: gc         FTL garbage-collection counters
-#: policy     elastic-policy band selections and transitions
-#: =========  ========================================================
-PROBE_POINTS: Tuple[str, ...] = ("request", "flash", "gc", "policy")
+__all__ = ["Telemetry", "NULL_TELEMETRY"]
 
 #: Layers of the write-path breakdown, in presentation order.
 WRITE_LAYERS: Tuple[str, ...] = (
@@ -58,32 +48,6 @@ WRITE_LAYERS: Tuple[str, ...] = (
 
 #: Layers of the read-path breakdown.
 READ_LAYERS: Tuple[str, ...] = ("queue", "flash_program", "read_decompress")
-
-
-class ProbeRegistry:
-    """Which probe points are live.  All on by default."""
-
-    def __init__(self, enabled: Optional[Tuple[str, ...]] = None) -> None:
-        self._active = set(PROBE_POINTS if enabled is None else enabled)
-        unknown = self._active - set(PROBE_POINTS)
-        if unknown:
-            raise ValueError(
-                f"unknown probe points {sorted(unknown)}; known: {PROBE_POINTS}"
-            )
-
-    def active(self, name: str) -> bool:
-        return name in self._active
-
-    def enable(self, name: str) -> None:
-        if name not in PROBE_POINTS:
-            raise ValueError(f"unknown probe point {name!r}")
-        self._active.add(name)
-
-    def disable(self, name: str) -> None:
-        self._active.discard(name)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ProbeRegistry({sorted(self._active)})"
 
 
 class _WriteRunRec:
@@ -154,13 +118,11 @@ class Telemetry:
     def __init__(
         self,
         sim,
-        probes: Optional[ProbeRegistry] = None,
         max_spans: int = 200_000,
         sub_buckets: int = 16,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.sim = sim
-        self.probes = probes if probes is not None else ProbeRegistry()
         # A shared tracer (cluster tracing) threads all shards' spans
         # into one causal trace; by default each Telemetry owns its own.
         self.tracer = (
@@ -197,29 +159,17 @@ class Telemetry:
     def bind_device(self, device) -> None:
         """Subscribe to the servers/FTL/policy beneath ``device``."""
         self.device = device
-        backend = device.distributer.backend
-        if self.probes.active("flash"):
-            self._attach_backend(backend)
-        if self.probes.active("gc"):
-            self._attach_gc(backend)
-        if self.probes.active("policy") and hasattr(device.policy, "on_select"):
-            device.policy.on_select = self._on_policy_select
-
-    def _attach_backend(self, backend) -> None:
-        queue = getattr(backend, "queue", None)
-        if isinstance(queue, Server):
-            queue.observer = self._on_server_job
-        if hasattr(backend, "probe"):
-            backend.probe = self._on_ssd_probe
-        for dev in getattr(backend, "devices", ()) or ():
-            self._attach_backend(dev)
-
-    def _attach_gc(self, backend) -> None:
-        ftl = getattr(backend, "ftl", None)
-        if ftl is not None and hasattr(ftl, "on_gc"):
-            ftl.on_gc = self._on_gc
-        for dev in getattr(backend, "devices", ()) or ():
-            self._attach_gc(dev)
+        for node in members_of(device.distributer.backend):
+            queue = getattr(node, "queue", None)
+            if isinstance(queue, Server):
+                queue.observer.append(self._on_server_job)
+            if hasattr(node, "probe"):
+                node.probe.append(self._on_ssd_probe)
+            ftl = getattr(node, "ftl", None)
+            if ftl is not None:
+                ftl.on_gc.append(self._on_gc)
+        if hasattr(device.policy, "on_select"):
+            device.policy.on_select.append(self._on_policy_select)
 
     # ------------------------------------------------------------------
     # device hooks: request lifecycle
@@ -447,7 +397,7 @@ class Telemetry:
             self.metrics.histogram("flash.read_wait").add(job.wait)
             self.metrics.histogram("flash.read_service").add(job.service_time)
 
-    def _on_gc(self, victim: int, moved: int, reclaimed: int) -> None:
+    def _on_gc(self, ftl, victim: int, moved: int, reclaimed: int) -> None:
         m = self.metrics
         m.counter("gc.collections").inc()
         m.counter("gc.moved_bytes").inc(moved)
@@ -509,42 +459,12 @@ class Telemetry:
 
 
 class _NullTelemetry:
-    """Shared inert telemetry: every hook is a cheap no-op."""
+    """Shared inert telemetry held by devices built without one.
+
+    The device caches ``enabled`` and never calls a hook on it.
+    """
 
     enabled = False
-
-    def __init__(self) -> None:
-        self.probes = ProbeRegistry(enabled=())
-
-    def bind_device(self, device) -> None:
-        return None
-
-    def request_arrived(self, request, is_write: bool) -> None:
-        return None
-
-    def write_run_planned(self, run, plan):
-        return None
-
-    def write_cpu_done(self, rec, job) -> None:
-        return None
-
-    def flash_issue_begin(self, rec, key, write: bool = True) -> None:
-        return None
-
-    def flash_issue_end(self) -> None:
-        return None
-
-    def write_run_done(self, rec) -> None:
-        return None
-
-    def read_started(self, request):
-        return None
-
-    def read_decompress_done(self, rec, job) -> None:
-        return None
-
-    def read_done(self, rec) -> None:
-        return None
 
 
 #: Module-level inert singleton used by devices built without telemetry.

@@ -12,7 +12,7 @@ keep the event loop alive once the workload drains.
 Each sampled value lands in a :class:`RingSeries` (fixed capacity, old
 points dropped, drop count kept), so memory stays constant no matter how
 long the replay runs.  Band switches are recorded out-of-band as exact
-:class:`MarkerSeries` events via the policy's ``on_select`` hook, so a
+:class:`MarkerSeries` events via a policy ``on_select`` subscriber, so a
 switch between two ticks is never lost.
 
 Sinks over the sampled state live next door:
@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import json
 from typing import Callable, Dict, List, Optional, TextIO, Tuple
+
+from repro.flash.introspect import ftls_of, members_of
 
 __all__ = [
     "RingSeries",
@@ -258,9 +260,6 @@ class TimeSeriesSampler:
     def names(self) -> List[str]:
         return sorted(self.series)
 
-    def n_series(self) -> int:
-        return len(self.series)
-
 
 # ----------------------------------------------------------------------
 # the standard metric vocabulary
@@ -298,21 +297,17 @@ def bind_standard_metrics(sampler: TimeSeriesSampler, device) -> None:
             "policy.band",
             lambda: float(policy.band_index(monitor.calculated_iops(sim.now))),
         )
-    # Exact band-switch markers via the selection hook (chained: the
-    # PR-1 Telemetry may already be subscribed).
+    # Exact band-switch markers via a band-selection subscriber.
     if hasattr(policy, "on_select"):
-        prev_hook = policy.on_select
         state = {"band": None}
 
         def _on_select(band_idx: int, iops: float) -> None:
-            if prev_hook is not None:
-                prev_hook(band_idx, iops)
             last = state["band"]
             if last is not None and band_idx != last:
                 sampler.mark("band_switch", f"{last}->{band_idx}", t=sim.now)
             state["band"] = band_idx
 
-        policy.on_select = _on_select
+        policy.on_select.append(_on_select)
 
     sampler.register_multi(
         "codec.write_share", device.stats.codec_shares, label_key="codec"
@@ -334,14 +329,17 @@ def bind_standard_metrics(sampler: TimeSeriesSampler, device) -> None:
 
     sampler.register("queue.depth.cpu", lambda: float(device.cpu.depth))
 
-    flash_queues = _flash_servers(backend)
+    flash_queues = [
+        node.queue for node in members_of(backend)
+        if getattr(node, "queue", None) is not None
+    ]
     if flash_queues:
         sampler.register(
             "queue.depth.flash",
             lambda: float(sum(q.depth for q in flash_queues)),
         )
 
-    ftls = _ftls(backend)
+    ftls = ftls_of(backend)
     if ftls:
         sampler.register(
             "gc.collections",
@@ -539,7 +537,7 @@ def bind_standard_metrics(sampler: TimeSeriesSampler, device) -> None:
     # waterfall walk device state, so one snapshot per tick is computed
     # lazily and shared across the family's collectors.
     health = getattr(device, "health", None)
-    if health is not None and getattr(health, "enabled", False):
+    if health is not None:
         _hcache: Dict[str, object] = {"t": None, "smart": None, "wf": None}
 
         def _smart():
@@ -643,7 +641,7 @@ def bind_cluster_metrics(
     devices = dict(fleet.devices)
     if tracing is None:
         tracing = getattr(fleet, "tracing", None)
-    if tracing is not None and getattr(tracing, "enabled", False):
+    if tracing is not None:
         tracer = tracing.tracer
         sampler.register(
             "trace.spans_dropped", lambda: float(tracer.dropped)
@@ -758,27 +756,6 @@ def bind_cluster_metrics(
             },
             label_key="shard",
         )
-
-
-def _flash_servers(backend) -> List[object]:
-    """All queue servers below ``backend`` (RAID members recursed)."""
-    out: List[object] = []
-    queue = getattr(backend, "queue", None)
-    if queue is not None:
-        out.append(queue)
-    for dev in getattr(backend, "devices", ()) or ():
-        out.extend(_flash_servers(dev))
-    return out
-
-
-def _ftls(backend) -> List[object]:
-    out: List[object] = []
-    ftl = getattr(backend, "ftl", None)
-    if ftl is not None:
-        out.append(ftl)
-    for dev in getattr(backend, "devices", ()) or ():
-        out.extend(_ftls(dev))
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 from repro.bench.cluster import run_cluster, tenant_roster
 from repro.cluster import ClusterReplayConfig, ClusterReplayer, build_cluster
 from repro.telemetry import (
-    NULL_DIST_TRACER,
     Span,
     Tracer,
     child_index,
@@ -180,8 +179,7 @@ class TestTraceOffBitIdentity:
             specs, ClusterReplayConfig(n_shards=2, capacity_mb=64)
         )
         assert fleet.tracing is None
-        assert fleet.cluster.tracer is NULL_DIST_TRACER
-        assert not fleet.cluster.tracer.enabled
+        assert fleet.cluster.tracer is None
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,12 @@ typed error propagation through ``_Barrier``, and — crucially — that an
 empty plan leaves a replay bit-identical to the baseline.
 """
 
+import pathlib
+
 import pytest
 
+from repro.bench.chaos import run_chaos
+from repro.bench.experiments import ReplayConfig, replay
 from repro.compression.codec import Codec, CodecError, CodecRegistry
 from repro.core.config import EDCConfig
 from repro.core.device import EDCBlockDevice
@@ -23,11 +27,16 @@ from repro.faults import (
     ReadFaultError,
 )
 from repro.flash.geometry import NandGeometry, x25e_like
+from repro.flash.introspect import ftls_of
 from repro.flash.raid import RAIS0, RAIS5, ArrayError, _Barrier
 from repro.flash.ssd import SimulatedSSD
 from repro.sdgen.generator import ContentMix, ContentStore
 from repro.sim.engine import Simulator
+from repro.telemetry.devhealth import DeviceHealth
 from repro.traces.model import IORequest
+from repro.traces.workloads import make_workload
+
+CHAOS_PLAN = pathlib.Path(__file__).parent.parent / "benchmarks" / "chaos_fin1.json"
 
 
 def make_ssd(sim, plan=None, name="ssd0", mb=32):
@@ -547,3 +556,81 @@ class TestEmptyPlanBitIdentity:
         base = replay(trace, "EDC", cfg)
         chaos = replay(trace, "EDC", cfg, fault_plan=FaultPlan.empty())
         assert base == chaos
+
+
+class TestReplacementInheritsSubscribers:
+    """A RAIS5 spare takes over the failed member's subscriber lists."""
+
+    def test_spare_events_reach_subscribers_bound_before_failure(self):
+        geo = NandGeometry(page_size=4096, pages_per_block=8, nblocks=32,
+                           op_ratio=0.25)
+        sim = Simulator()
+        devices = [SimulatedSSD(sim, name=f"ssd{i}", geometry=geo)
+                   for i in range(3)]
+        arr = RAIS5(devices)
+        seen = []
+        for ftl in ftls_of(arr):
+            ftl.on_gc.append(lambda f, *args: seen.append(("gc", f)))
+            ftl.on_retire.append(lambda f, *args: seen.append(("retire", f)))
+        for ssd in devices:
+            ssd.probe.append(lambda *args: None)
+            ssd.queue.observer.append(lambda job: None)
+        arr.fail_device(0)
+        spare = SimulatedSSD(sim, name="spare", geometry=geo)
+        arr.rebuild(spare)
+        sim.run()
+        assert arr.devices[0] is spare
+        assert spare.probe == devices[0].probe
+        assert spare.queue.observer == devices[0].queue.observer
+        # Overwrite a small working set until the spare collects.
+        for i in range(400):
+            spare.ftl.write(i % 16, 4096)
+        spare.ftl.retire_block(0)
+        gc_runs = spare.ftl.stats.gc_runs
+        assert gc_runs > 0
+        assert seen.count(("gc", spare.ftl)) == gc_runs
+        assert seen.count(("retire", spare.ftl)) == 1
+        assert len(seen) == gc_runs + 1
+
+
+@pytest.fixture(scope="module")
+def committed_chaos_run():
+    """The committed chaos plan on RAIS5 with device health bound."""
+    health = DeviceHealth()
+    ctx = {}
+    replay(
+        make_workload("Fin1", duration=10), "EDC",
+        ReplayConfig(backend="rais5"),
+        fault_plan=FaultPlan.from_json(str(CHAOS_PLAN)), health=health,
+        on_built=lambda sim, dev, backend, devices: ctx.update(
+            dev=dev, backend=backend, originals=list(devices)),
+    )
+    originals = ctx["originals"]
+    spares = [d for d in ctx["backend"].devices
+              if not any(d is o for o in originals)]
+    return ctx["dev"], originals, spares, health
+
+
+class TestSpareMemberAccounting:
+    def test_allocator_counts_spare_retirements(self, committed_chaos_run):
+        dev, originals, spares, _ = committed_chaos_run
+        assert spares, "the plan's member failure must swap in a spare"
+        assert sum(s.ftl.retired_blocks for s in spares) > 0
+        block_bytes = originals[0].geometry.block_bytes
+        retired = sum(s.ftl.retired_blocks for s in originals + spares)
+        assert dev.allocator.stats.retired_bytes == block_bytes * retired
+
+    def test_health_records_spare_episodes(self, committed_chaos_run):
+        _, originals, spares, health = committed_chaos_run
+        members = originals + spares
+        retired = sum(s.ftl.retired_blocks for s in members)
+        gc_runs = sum(s.ftl.stats.gc_runs for s in members)
+        assert health.episodes_by_trigger.get("retire", 0) == retired
+        assert health.episodes_total == retired + gc_runs
+
+    def test_chaos_report_counts_spares(self):
+        report = run_chaos(FaultPlan.from_json(str(CHAOS_PLAN)),
+                           "Fin1", backend="rais5", duration=10)
+        block_bytes = ReplayConfig().geometry().block_bytes
+        assert report.retired_blocks == 9
+        assert report.retired_bytes == block_bytes * report.retired_blocks

@@ -16,15 +16,11 @@ from repro.bench.experiments import ReplayConfig, replay
 from repro.sim.engine import Simulator
 from repro.telemetry import (
     LAYERS,
-    NULL_SPAN,
     NULL_TELEMETRY,
-    PROBE_POINTS,
     Counter,
     Gauge,
     Log2Histogram,
     MetricsRegistry,
-    NullTracer,
-    ProbeRegistry,
     Telemetry,
     Tracer,
     ascii_flamegraph,
@@ -98,13 +94,6 @@ class TestTracer:
         totals = tracer.layer_totals()
         assert totals["compress"] == (2, pytest.approx(3.0))
         assert totals["queue"] == (1, pytest.approx(4.0))
-
-    def test_null_tracer_is_inert(self):
-        t = NullTracer()
-        s = t.start("x")
-        assert s is NULL_SPAN
-        t.finish(s)
-        assert len(t) == 0 and list(t) == []
 
     def test_layer_vocabulary(self):
         assert "request" in LAYERS
@@ -221,33 +210,6 @@ class TestCountersGaugesRegistry:
 
 
 # ----------------------------------------------------------------------
-# probe registry
-# ----------------------------------------------------------------------
-class TestProbeRegistry:
-    def test_all_on_by_default(self):
-        p = ProbeRegistry()
-        assert all(p.active(name) for name in PROBE_POINTS)
-
-    def test_enable_disable(self):
-        p = ProbeRegistry(enabled=())
-        assert not p.active("flash")
-        p.enable("flash")
-        assert p.active("flash")
-        p.disable("flash")
-        assert not p.active("flash")
-
-    def test_unknown_point_rejected(self):
-        with pytest.raises(ValueError):
-            ProbeRegistry(enabled=("bogus",))
-        with pytest.raises(ValueError):
-            ProbeRegistry().enable("bogus")
-
-    def test_null_telemetry_is_disabled(self):
-        assert NULL_TELEMETRY.enabled is False
-        assert not NULL_TELEMETRY.probes.active("request")
-
-
-# ----------------------------------------------------------------------
 # end-to-end: replay with telemetry attached
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
@@ -317,6 +279,9 @@ class TestReplaySmoke:
         # observation must not perturb the simulation
         assert instrumented.mean_response == plain.mean_response
         assert instrumented.compression_ratio == plain.compression_ratio
+
+    def test_null_telemetry_is_disabled(self):
+        assert NULL_TELEMETRY.enabled is False
 
 
 # ----------------------------------------------------------------------
